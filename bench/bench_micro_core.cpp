@@ -1,10 +1,11 @@
 // Micro-benchmarks of the core building blocks plus the DESIGN.md ablation
-// targets: price evaluation, FIND_ALLOC, DP_allocation (beam vs greedy,
-// mixing on/off), pool dispatch overhead, DP branch bookkeeping (snapshot
-// copy vs undo log), the LP and filling max-min solvers, and trace
-// generation.
+// targets: price evaluation, FIND_ALLOC (and its cluster-size sweep),
+// DP_allocation (beam vs greedy, mixing on/off), pool dispatch overhead, DP
+// branch bookkeeping (snapshot copy vs undo log), the LP and filling max-min
+// solvers, and trace generation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/thread_pool.hpp"
@@ -76,6 +77,31 @@ void BM_FindAlloc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FindAlloc);
+
+// FIND_ALLOC against cluster size: ClusterSpec::scaled(n) (3n nodes of one
+// type each, 4 GPUs per node) half full, node h holding h % 5 used devices.
+// That gives twelve (type, used) slot groups at every size, so the per-call
+// cost shows what still grows with the node count.
+void BM_FindAllocScaled(benchmark::State& state) {
+  World w(32);
+  const auto spec = cluster::ClusterSpec::scaled(static_cast<int>(state.range(0)));
+  cluster::ClusterState st(&spec);
+  for (NodeId h = 0; h < spec.num_nodes(); ++h) {
+    for (GpuTypeId r = 0; r < spec.num_types(); ++r) {
+      const int cap = spec.node(h).capacity(r);
+      const int used = std::min(cap, h % 5);
+      if (used > 0) st.allocate(cluster::JobAllocation({{h, r, used}}));
+    }
+  }
+  std::size_t j = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::find_alloc(w.ctx.jobs[j], st, w.book, w.utility, 0.0,
+                                              sim::NetworkModel{}, core::FindAllocConfig{}));
+    j = (j + 1) % w.ctx.jobs.size();
+  }
+  state.counters["nodes"] = spec.num_nodes();
+}
+BENCHMARK(BM_FindAllocScaled)->Arg(34)->Arg(334)->Arg(3334);
 
 void BM_DpAllocation(benchmark::State& state) {
   World w(static_cast<int>(state.range(0)));

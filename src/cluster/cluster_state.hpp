@@ -58,6 +58,8 @@ class ClusterState {
   int free_in_cell(std::size_t cell) const {
     return cap_[cell] - used_[cell];
   }
+  /// Capacity of a dense cell index, as cached by clear() (no bounds check).
+  int capacity_in_cell(std::size_t cell) const { return cap_[cell]; }
 
   /// Claims the placements of `alloc`. Throws std::runtime_error when
   /// capacity would be exceeded (callers must check with can_allocate()).

@@ -12,70 +12,15 @@
 namespace hadar::core {
 namespace {
 
-// One free device pool a job could draw from. `price` caches the marginal
-// Eq. 5 price of (node, type) once per find_alloc call — the pools repeat
-// across bottleneck levels, so re-querying the PriceBook per candidate would
-// redo the same exponentials dozens of times per job.
+// One free device pool a job could draw from: the free devices of one
+// (node, type) cell. `group` indexes the call's slot groups (below).
 struct Slot {
   NodeId node;
   GpuTypeId type;
   int free;
-  double rate;   // X_j^r
-  double price;  // marginal price of the first device in the pool
+  std::uint32_t group;
+  double rate;  // X_j^r
 };
-
-// Fill order for a gang draw. The bottleneck throughput is fixed by the
-// slowest eligible type, so the efficient fill draws the SLOWEST types
-// first — faster devices add nothing to this gang and are left free for
-// jobs that can actually exploit them. Within a rate, denser pools come
-// first (fewer nodes spanned), then cheaper, then stable ids. Distinct
-// slots never compare equal ((node, type) is unique), so this is a strict
-// total order and every pool filtered from a fill-ordered list is itself
-// fill-ordered — fill() never needs to re-sort.
-bool fill_order(const Slot& a, const Slot& b) {
-  if (a.rate != b.rate) return a.rate < b.rate;    // slowest eligible first
-  if (a.free != b.free) return a.free > b.free;    // consolidate
-  if (a.price != b.price) return a.price < b.price;
-  return a.node != b.node ? a.node < b.node : a.type < b.type;
-}
-
-// Fill a gang of `workers` from `pool`, which must already be in fill
-// order; `total` is the pool's precomputed free sum (suffix tables), the
-// same value the previous implementation rescanned per candidate. Type
-// diversity is tracked with a bitmask (types are small dense ids); the rare
-// registry with >64 types falls back to a linear scan. On success the
-// placements are left in `scratch` in fill order.
-bool fill(std::span<const Slot* const> pool, int workers, int total,
-          bool allow_mixed_types, std::vector<cluster::TaskPlacement>& scratch) {
-  if (total < workers) return false;
-
-  scratch.clear();
-  int need = workers;
-  std::uint64_t type_mask = 0;
-  int distinct_types = 0;
-  for (const Slot* s : pool) {
-    if (need == 0) break;
-    const int take = std::min(need, s->free);
-    scratch.push_back({s->node, s->type, take});
-    need -= take;
-    if (s->type < 64) {
-      const std::uint64_t bit = std::uint64_t{1} << s->type;
-      if ((type_mask & bit) == 0) {
-        type_mask |= bit;
-        ++distinct_types;
-      }
-    } else {
-      bool seen = false;
-      for (std::size_t i = 0; i + 1 < scratch.size(); ++i) {
-        if (scratch[i].type == s->type) { seen = true; break; }
-      }
-      if (!seen) ++distinct_types;
-    }
-  }
-  if (need != 0) return false;
-  if (!allow_mixed_types && distinct_types > 1) return false;
-  return true;
-}
 
 // Scalars of one evaluated candidate (the JobAllocation itself is only
 // materialized for the winner, at the end of the call).
@@ -86,10 +31,100 @@ struct EvalOut {
   Seconds est_duration = 0.0;
 };
 
-// Evaluates a normalized placement span into (cost, utility, payoff).
-// Replicates the arithmetic previously run on a constructed JobAllocation
-// bit for bit: workers/nodes_used/bottleneck from the same normalized
-// order, cost summed in the same order, identical surcharge expression.
+// Slots sharing (type, cell capacity, free count), i.e. the same used count.
+// The Eq. 5 price of a cell's first free device reads only its type, its
+// used/capacity fraction and the type's cluster-wide fraction, so every slot
+// of a group has the same free count, rate and marginal price — and a gang
+// drawn whole from any one of them has the same cost, utility and payoff
+// (`memo`).
+struct SlotGroup {
+  GpuTypeId type = 0;
+  int capacity = 0;
+  int free = 0;
+  NodeId first_node = 0;
+  double rate = 0.0;
+  double price = 0.0;
+  std::uint32_t size = 0;
+  std::uint32_t rank = 0;
+  bool memo_valid = false;
+  EvalOut memo;
+};
+
+// Open-addressing index entry from (type, capacity, free) to a group, valid
+// for one call: entries from earlier calls carry an older stamp.
+struct GroupKey {
+  std::uint32_t stamp = 0;
+  std::uint32_t group = 0;
+};
+
+std::size_t group_hash(GpuTypeId type, int capacity, int free) {
+  std::uint64_t x = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(type)) << 32) ^
+                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(capacity)) << 16) ^
+                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(free));
+  x ^= x >> 31;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 29;
+  return static_cast<std::size_t>(x);
+}
+
+// Fill order for a gang draw. The bottleneck throughput is fixed by the
+// slowest eligible type, so the efficient fill draws the SLOWEST types
+// first — faster devices add nothing to this gang and are left free for
+// jobs that can actually exploit them. Within a rate, denser pools come
+// first (fewer nodes spanned), then cheaper, then stable ids (node, type).
+// This orders the groups' (rate, free, price) triples; equal triples share
+// a rank, and the final tie-break on (node, type) is the gather order, which
+// a stable counting sort by rank keeps.
+bool group_order(const SlotGroup& a, const SlotGroup& b) {
+  if (a.rate != b.rate) return a.rate < b.rate;    // slowest eligible first
+  if (a.free != b.free) return a.free > b.free;    // consolidate
+  return a.price < b.price;
+}
+bool same_triple(const SlotGroup& a, const SlotGroup& b) {
+  return a.rate == b.rate && a.free == b.free && a.price == b.price;
+}
+
+// Fill a gang of `workers` from `pool`, which must already be in fill
+// order; `total` is the pool's precomputed free sum (suffix tables). Type
+// diversity is tracked with a bitmask (types are small dense ids); the rare
+// registry with >64 types falls back to a linear scan. On success the
+// placements are left in `scratch` in fill order; a single placement is
+// always drawn from pool[0].
+bool fill(std::span<const Slot> pool, int workers, int total, bool allow_mixed_types,
+          std::vector<cluster::TaskPlacement>& scratch) {
+  if (total < workers) return false;
+
+  scratch.clear();
+  int need = workers;
+  std::uint64_t type_mask = 0;
+  int distinct_types = 0;
+  for (const Slot& s : pool) {
+    if (need == 0) break;
+    const int take = std::min(need, s.free);
+    scratch.push_back({s.node, s.type, take});
+    need -= take;
+    if (s.type < 64) {
+      const std::uint64_t bit = std::uint64_t{1} << s.type;
+      if ((type_mask & bit) == 0) {
+        type_mask |= bit;
+        ++distinct_types;
+      }
+    } else {
+      bool seen = false;
+      for (std::size_t i = 0; i + 1 < scratch.size(); ++i) {
+        if (scratch[i].type == s.type) { seen = true; break; }
+      }
+      if (!seen) ++distinct_types;
+    }
+  }
+  if (need != 0) return false;
+  if (!allow_mixed_types && distinct_types > 1) return false;
+  return true;
+}
+
+// Evaluates a normalized placement span into (cost, utility, payoff):
+// workers/nodes_used/bottleneck from the normalized order, cost summed in
+// that order, then the communication surcharge.
 EvalOut evaluate_span(const sim::JobView& job,
                       std::span<const cluster::TaskPlacement> placements,
                       const cluster::ClusterState& state, const PriceBook& prices,
@@ -130,17 +165,55 @@ EvalOut evaluate_span(const sim::JobView& job,
 // Per-thread scratch reused across calls: the hot loop (one call per job per
 // beam branch) allocates nothing once the vectors reach steady-state size.
 struct FaScratch {
-  std::vector<Slot> slots;
-  std::vector<const Slot*> all;            // slots in fill order
+  std::vector<Slot> gathered;              // free usable slots, by node
+  std::vector<std::uint32_t> node_start;   // CSR: node m's slots in gathered
+  std::vector<SlotGroup> groups;
+  std::vector<GroupKey> group_index;       // power-of-two open-addressing table
+  std::uint32_t stamp = 0;
+  std::vector<std::uint32_t> group_order;  // group ids sorted by triple
+  std::vector<std::uint32_t> rank_start;   // counting-sort offsets per rank
+  std::vector<Slot> all;                   // gathered slots in fill order
   std::vector<int> all_suffix_free;        // [i] = free in all[i..N), [N] = 0
-  std::vector<std::uint32_t> node_start;   // CSR offsets into by_node_flat
-  std::vector<std::uint32_t> node_cursor;  // build-time fill cursors
-  std::vector<const Slot*> by_node_flat;   // per-node lists, each fill-ordered
   std::vector<int> node_suffix_free;       // [j] = free from j to its node's end
-  std::vector<double> thresholds;
   std::vector<cluster::TaskPlacement> scratch;
   std::vector<cluster::TaskPlacement> best_placements;
   PriceCache cache;
+
+  // Starts a call's group index sized for up to `max_groups` groups.
+  void begin_groups(std::size_t max_groups) {
+    groups.clear();
+    std::size_t want = 16;
+    while (want < 2 * max_groups) want <<= 1;
+    if (group_index.size() < want) {
+      group_index.assign(want, GroupKey{});
+      stamp = 0;
+    }
+    if (++stamp == 0) {  // wrapped: no entry may carry the live stamp
+      std::fill(group_index.begin(), group_index.end(), GroupKey{});
+      stamp = 1;
+    }
+  }
+
+  // The group of (type, capacity, free), created on first sight.
+  std::uint32_t group_of(GpuTypeId type, int capacity, int free, NodeId node,
+                         double rate) {
+    const std::size_t mask = group_index.size() - 1;
+    for (std::size_t i = group_hash(type, capacity, free) & mask;; i = (i + 1) & mask) {
+      GroupKey& k = group_index[i];
+      if (k.stamp != stamp) {
+        k = GroupKey{stamp, static_cast<std::uint32_t>(groups.size())};
+        SlotGroup& grp = groups.emplace_back();
+        grp.type = type;
+        grp.capacity = capacity;
+        grp.free = free;
+        grp.first_node = node;
+        grp.rate = rate;
+        return k.group;
+      }
+      const SlotGroup& grp = groups[k.group];
+      if (grp.type == type && grp.capacity == capacity && grp.free == free) return k.group;
+    }
+  }
 };
 
 }  // namespace
@@ -151,72 +224,97 @@ std::optional<AllocCandidate> find_alloc(const sim::JobView& job,
                                          const UtilityFunction& utility, Seconds now,
                                          const sim::NetworkModel& network,
                                          const FindAllocConfig& cfg) {
-  const cluster::ClusterSpec& spec = state.spec();
-  const int H = spec.num_nodes();
-  const int R = spec.num_types();
   const int W = job.spec->num_workers;
 
   static thread_local FaScratch fa;
   fa.cache.sync(prices);
 
   // Free pools usable by this job, gathered from the state's usable-slot
-  // table (dead nodes and capacity-less cells are never probed), priced in
-  // one flat pass, and sorted into fill order once. Every candidate pool
-  // below is a rate-threshold suffix of these lists (rate is the primary
-  // sort key), so the per-threshold work drops from "scan + sort all slots"
-  // to a lower_bound.
-  auto& slots = fa.slots;
-  slots.clear();
-  for (const auto& us : state.usable_slots()) {
-    const int free = state.free_in_cell(static_cast<std::size_t>(us.cell));
-    const double rate = job.throughput_on(us.type);
-    if (free > 0 && rate > 0.0) slots.push_back(Slot{us.node, us.type, free, rate, 0.0});
-  }
-  if (slots.empty()) return std::nullopt;
-  for (auto& s : slots) s.price = prices.marginal_price(state, s.node, s.type, &fa.cache);
-  std::sort(slots.begin(), slots.end(), fill_order);
-  const std::size_t N = slots.size();
-
-  // CSR per-node lists plus the all-slots list, each with suffix free sums
-  // so a pool's feasibility check is O(1) instead of a rescan.
-  auto& all = fa.all;
-  auto& all_suffix = fa.all_suffix_free;
-  all.resize(N);
-  all_suffix.assign(N + 1, 0);
-  for (std::size_t i = 0; i < N; ++i) all[i] = &slots[i];
-  for (std::size_t i = N; i-- > 0;) all_suffix[i] = all_suffix[i + 1] + slots[i].free;
-
+  // table (dead nodes and capacity-less cells are never probed) in ascending
+  // (node, type) order. Each slot joins its (type, capacity, free) group;
+  // each node's slots are contiguous, and `node_start` marks where every
+  // node with a free usable slot begins.
+  const auto& usable = state.usable_slots();
+  auto& gathered = fa.gathered;
   auto& node_start = fa.node_start;
-  node_start.assign(static_cast<std::size_t>(H) + 1, 0);
-  for (const auto& s : slots) ++node_start[static_cast<std::size_t>(s.node) + 1];
-  for (std::size_t h = 0; h < static_cast<std::size_t>(H); ++h) {
-    node_start[h + 1] += node_start[h];
+  gathered.clear();
+  node_start.clear();
+  fa.begin_groups(usable.size());
+  NodeId last_node = -1;
+  for (const auto& us : usable) {
+    const auto cell = static_cast<std::size_t>(us.cell);
+    const int free = state.free_in_cell(cell);
+    const double rate = job.throughput_on(us.type);
+    if (free <= 0 || !(rate > 0.0)) continue;
+    if (us.node != last_node) {
+      last_node = us.node;
+      node_start.push_back(static_cast<std::uint32_t>(gathered.size()));
+    }
+    const std::uint32_t g =
+        fa.group_of(us.type, state.capacity_in_cell(cell), free, us.node, rate);
+    ++fa.groups[g].size;
+    gathered.push_back(Slot{us.node, us.type, free, g, rate});
   }
-  auto& cursor = fa.node_cursor;
-  cursor.assign(node_start.begin(), node_start.end() - 1);
-  auto& by_node = fa.by_node_flat;
-  by_node.resize(N);
-  for (const auto& s : slots) by_node[cursor[static_cast<std::size_t>(s.node)]++] = &s;
+  if (gathered.empty()) return std::nullopt;
+  const std::size_t N = gathered.size();
+  const std::size_t num_nodes = node_start.size();
+  node_start.push_back(static_cast<std::uint32_t>(N));
+
+  // Price once per group, then rank the groups' distinct (rate, free, price)
+  // triples in fill order.
+  auto& groups = fa.groups;
+  auto& order = fa.group_order;
+  order.resize(groups.size());
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
+    SlotGroup& grp = groups[g];
+    grp.price = prices.marginal_price(state, grp.first_node, grp.type, &fa.cache);
+    order[g] = g;
+  }
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return group_order(groups[a], groups[b]);
+  });
+  auto& rank_start = fa.rank_start;
+  rank_start.assign(order.size() + 1, 0);
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    SlotGroup& grp = groups[order[i]];
+    if (i > 0 && !same_triple(groups[order[i - 1]], grp)) ++rank;
+    grp.rank = rank;
+    rank_start[rank + 1] += grp.size;
+  }
+  for (std::uint32_t k = 0; k <= rank; ++k) rank_start[k + 1] += rank_start[k];
+
+  // Stable counting sort by rank: within a rank, gather order is ascending
+  // (node, type), the comparator's final tie-break — so `all` is exactly
+  // the fill order, with suffix free sums for O(1) pool feasibility.
+  auto& all = fa.all;
+  all.resize(N);
+  for (const Slot& s : gathered) all[rank_start[groups[s.group].rank]++] = s;
+  auto& all_suffix = fa.all_suffix_free;
+  all_suffix.assign(N + 1, 0);
+  for (std::size_t i = N; i-- > 0;) all_suffix[i] = all_suffix[i + 1] + all[i].free;
+
+  // Per-node lists in fill order: each node's few slots (at most one per
+  // type) are stably insertion-sorted by rank in place, which keeps type
+  // order within a rank — the fill order restricted to the node.
   auto& node_suffix = fa.node_suffix_free;
-  node_suffix.assign(N, 0);
-  for (std::size_t h = 0; h < static_cast<std::size_t>(H); ++h) {
+  node_suffix.resize(N);
+  for (std::size_t m = 0; m < num_nodes; ++m) {
+    Slot* first = gathered.data() + node_start[m];
+    Slot* last = gathered.data() + node_start[m + 1];
+    for (Slot* i = first + 1; i < last; ++i) {
+      const Slot s = *i;
+      const std::uint32_t r = groups[s.group].rank;
+      Slot* j = i;
+      for (; j > first && groups[(j - 1)->group].rank > r; --j) *j = *(j - 1);
+      *j = s;
+    }
     int acc = 0;
-    for (std::size_t j = node_start[h + 1]; j-- > node_start[h];) {
-      acc += by_node[j]->free;
+    for (std::size_t j = node_start[m + 1]; j-- > node_start[m];) {
+      acc += gathered[j].free;
       node_suffix[j] = acc;
     }
   }
-
-  // Distinct usable rates, fastest first: each defines a bottleneck level k
-  // (Algorithm 2 line 23's descending-throughput sweep).
-  auto& thresholds = fa.thresholds;
-  thresholds.clear();
-  for (GpuTypeId r = 0; r < R; ++r) {
-    const double x = job.throughput_on(r);
-    if (x > 0.0) thresholds.push_back(x);
-  }
-  std::sort(thresholds.begin(), thresholds.end(), std::greater<>());
-  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()), thresholds.end());
 
   bool have_best = false;
   bool best_is_current = false;
@@ -234,9 +332,20 @@ std::optional<AllocCandidate> find_alloc(const sim::JobView& job,
       if (!is_current) fa.best_placements.assign(fa.scratch.begin(), fa.scratch.end());
     }
   };
-  auto try_pool = [&](std::span<const Slot* const> pool, int total) {
+  auto try_pool = [&](std::span<const Slot> pool, int total) {
     ++candidates_scanned;
     if (!fill(pool, W, total, cfg.allow_mixed_types, fa.scratch)) return;
+    if (fa.scratch.size() == 1) {
+      // A gang drawn whole from one slot is priced by its group alone.
+      SlotGroup& grp = groups[pool[0].group];
+      if (!grp.memo_valid) {
+        grp.memo = evaluate_span(job, fa.scratch, state, prices, fa.cache, utility, now,
+                                 network, cfg);
+        grp.memo_valid = true;
+      }
+      consider(grp.memo, /*is_current=*/false);
+      return;
+    }
     // Normalize in place: (node, type) keys are unique within a pool, so a
     // plain sort reproduces JobAllocation's canonical order exactly.
     std::sort(fa.scratch.begin(), fa.scratch.end(),
@@ -247,36 +356,30 @@ std::optional<AllocCandidate> find_alloc(const sim::JobView& job,
                            network, cfg),
              /*is_current=*/false);
   };
-  // Rate-ascending lists make "rate >= threshold" a suffix.
-  auto suffix_begin = [](const Slot* const* first, const Slot* const* last, double t) {
-    return std::lower_bound(first, last, t,
-                            [](const Slot* s, double th) { return s->rate < th; });
+  // Bottleneck levels, fastest first (Algorithm 2 line 23's descending-
+  // throughput sweep). In a rate-ascending list the pool of level "rate >=
+  // x" is the suffix starting at the first slot of rate x, so walking the
+  // list backwards and trying the suffix at each run start visits every
+  // level's pool once. A level with no slot of its own rate in the list
+  // would offer the next faster level's pool again, right after it, where
+  // its consider() would be a no-op; it is not visited.
+  auto sweep_levels = [&](const Slot* first, const Slot* last, const int* suffix_free) {
+    for (const Slot* lo = last; lo != first;) {
+      --lo;
+      if (lo != first && (lo - 1)->rate == lo->rate) continue;
+      try_pool({lo, last}, suffix_free[lo - first]);
+    }
   };
 
   // ---- consolidated candidates: all W workers on one node (line 24),
-  // one candidate per (node, bottleneck level) ----
-  for (NodeId h = 0; h < H; ++h) {
-    const std::size_t s0 = node_start[static_cast<std::size_t>(h)];
-    const std::size_t s1 = node_start[static_cast<std::size_t>(h) + 1];
-    if (s0 == s1) continue;
-    for (double threshold : thresholds) {
-      const Slot* const* lo =
-          suffix_begin(by_node.data() + s0, by_node.data() + s1, threshold);
-      if (lo == by_node.data() + s1) continue;
-      const std::size_t j = static_cast<std::size_t>(lo - by_node.data());
-      try_pool({lo, s1 - j}, node_suffix[j]);
-    }
+  // one candidate per (node, distinct bottleneck-level pool) ----
+  for (std::size_t m = 0; m < num_nodes; ++m) {
+    sweep_levels(gathered.data() + node_start[m], gathered.data() + node_start[m + 1],
+                 node_suffix.data() + node_start[m]);
   }
 
   // ---- cluster-wide candidates per bottleneck level (line 25) ----
-  if (cfg.allow_multi_node) {
-    for (double threshold : thresholds) {
-      const Slot* const* lo = suffix_begin(all.data(), all.data() + N, threshold);
-      if (lo == all.data() + N) continue;
-      const std::size_t i = static_cast<std::size_t>(lo - all.data());
-      try_pool({lo, N - i}, all_suffix[i]);
-    }
-  }
+  if (cfg.allow_multi_node) sweep_levels(all.data(), all.data() + N, all_suffix.data());
 
   // ---- the job's current placement, if it still fits ----
   if (!job.current_allocation.empty() && state.can_allocate(job.current_allocation)) {

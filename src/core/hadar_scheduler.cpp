@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/binary.hpp"
 #include "obs/trace.hpp"
@@ -84,13 +85,16 @@ void HadarPricingStage::prioritize(pipeline::RoundState& rs) {
   }
 
   // ---- objective-specific priority order (see UtilityFunction::priority) --
-  std::sort(rs.queue.begin(), rs.queue.end(),
-            [&](const sim::JobView* a, const sim::JobView* b) {
-              const double pa = s.utility.priority(*a, ctx.now);
-              const double pb = s.utility.priority(*b, ctx.now);
-              if (pa != pb) return pa > pb;
-              return a->id() < b->id();
-            });
+  // Keys are computed once per job; the comparator and so the order are
+  // those of comparing priority() directly.
+  std::vector<std::pair<double, const sim::JobView*>> keyed;
+  keyed.reserve(rs.queue.size());
+  for (const sim::JobView* j : rs.queue) keyed.emplace_back(s.utility.priority(*j, ctx.now), j);
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second->id() < b.second->id();
+  });
+  for (std::size_t i = 0; i < keyed.size(); ++i) rs.queue[i] = keyed[i].second;
 }
 
 void HadarPricingStage::reset() { st_->prices = PriceBook(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "common/env.hpp"
@@ -48,6 +49,18 @@ SchedulerDaemon::SchedulerDaemon(const cluster::ClusterSpec* spec,
   last_rotation_round_ = rotation_round_of(recovery_.active_changelog);
   wal_ = std::make_unique<ChangelogWriter>(recovery_.active_changelog, cfg_.fsync,
                                            /*append=*/true);
+}
+
+bool SchedulerDaemon::submit(const workload::JobSpec& job) {
+  // A spec RoundEngine::admit would refuse must never reach the queue: once
+  // drained it would throw out of every later run_round().
+  try {
+    job.validate(spec_->num_types());
+  } catch (const std::invalid_argument&) {
+    obs::count("service.invalid");
+    return false;
+  }
+  return queue_.try_push(job);
 }
 
 bool SchedulerDaemon::idle() const {

@@ -57,8 +57,10 @@ class SchedulerDaemon {
   sim::IScheduler& scheduler() { return *scheduler_; }
   AdmissionQueue& queue() { return queue_; }
 
-  /// Thread-safe submission entry point; false = rejected (queue full).
-  bool submit(const workload::JobSpec& job) { return queue_.try_push(job); }
+  /// Thread-safe submission entry point. Returns false, enqueueing nothing,
+  /// when the spec is invalid for this cluster (JobSpec::validate against
+  /// its GPU types; counted as service.invalid) or the queue is full.
+  bool submit(const workload::JobSpec& job);
 
   /// Submissions drained from the queue but not yet due (future arrivals).
   std::size_t pending_arrivals() const { return pending_.size(); }

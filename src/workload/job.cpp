@@ -1,6 +1,7 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/binary.hpp"
@@ -51,9 +52,13 @@ void JobSpec::validate(int num_types) const {
   if (num_workers <= 0) throw std::invalid_argument("JobSpec: num_workers <= 0");
   if (epochs <= 0) throw std::invalid_argument("JobSpec: epochs <= 0");
   if (chunks_per_epoch <= 0) throw std::invalid_argument("JobSpec: chunks_per_epoch <= 0");
+  if (!std::isfinite(arrival)) throw std::invalid_argument("JobSpec: non-finite arrival");
   if (arrival < 0.0) throw std::invalid_argument("JobSpec: negative arrival");
   if (throughput.size() != static_cast<std::size_t>(num_types)) {
     throw std::invalid_argument("JobSpec: throughput arity != num GPU types");
+  }
+  for (double v : throughput) {
+    if (!std::isfinite(v)) throw std::invalid_argument("JobSpec: non-finite throughput");
   }
   if (max_throughput() <= 0.0) {
     throw std::invalid_argument("JobSpec: no device type with positive throughput");
@@ -61,10 +66,15 @@ void JobSpec::validate(int num_types) const {
   for (double v : throughput) {
     if (v < 0.0) throw std::invalid_argument("JobSpec: negative throughput");
   }
+  if (!std::isfinite(checkpoint_save) || !std::isfinite(checkpoint_load)) {
+    throw std::invalid_argument("JobSpec: non-finite checkpoint cost");
+  }
   if (checkpoint_save < 0.0 || checkpoint_load < 0.0) {
     throw std::invalid_argument("JobSpec: negative checkpoint cost");
   }
+  if (!std::isfinite(model_size_mb)) throw std::invalid_argument("JobSpec: non-finite model size");
   if (model_size_mb < 0.0) throw std::invalid_argument("JobSpec: negative model size");
+  if (!std::isfinite(deadline)) throw std::invalid_argument("JobSpec: non-finite deadline");
   if (has_deadline() && deadline < arrival) {
     throw std::invalid_argument("JobSpec: deadline before arrival");
   }

@@ -62,7 +62,8 @@ struct JobSpec {
   Seconds max_runtime() const;
 
   /// Throws std::invalid_argument when any field is inconsistent (W<=0,
-  /// no positive throughput, ...). Called by the trace loaders.
+  /// no positive throughput, a non-finite value, ...). Called by the trace
+  /// loaders, RoundEngine::admit and SchedulerDaemon::submit.
   void validate(int num_types) const;
 
   /// Bit-exact persistence (changelog records, engine snapshots).

@@ -14,6 +14,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -391,6 +394,47 @@ TEST(Daemon, BackpressureSurfacesThroughSubmit) {
   for (const auto& j : s.trace.jobs) accepted += d.submit(j) ? 1 : 0;
   EXPECT_EQ(accepted, 3);
   EXPECT_EQ(d.queue().rejected(), s.trace.jobs.size() - 3);
+}
+
+/// Malformed specs are refused at submit() and never enqueued, so the daemon
+/// keeps serving: one zero-worker gang and seven non-finite fields.
+TEST(Daemon, RejectsMalformedSpecsAndKeepsServing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::function<void(workload::JobSpec&)>> breakers = {
+      [](workload::JobSpec& j) { j.num_workers = 0; },
+      [&](workload::JobSpec& j) { j.arrival = nan; },
+      [&](workload::JobSpec& j) { j.arrival = inf; },
+      [&](workload::JobSpec& j) { j.throughput[0] = nan; },
+      [&](workload::JobSpec& j) { j.throughput[0] = inf; },
+      [&](workload::JobSpec& j) { j.checkpoint_save = -inf; },
+      [&](workload::JobSpec& j) { j.checkpoint_load = nan; },
+      [&](workload::JobSpec& j) { j.model_size_mb = inf; },
+  };
+  const Scenario s = small_scenario(5, 4);
+  for (std::size_t i = 0; i < breakers.size(); ++i) {
+    SCOPED_TRACE("malformed spec " + std::to_string(i));
+    ServiceConfig cfg = service_config(s, fresh_dir("daemon_bad_" + std::to_string(i)), 0);
+    SchedulerDaemon d(&s.spec, runner::make_scheduler("hadar"), cfg);
+    for (auto j : s.trace.jobs) {
+      j.arrival = 0.0;
+      ASSERT_TRUE(d.submit(j));
+    }
+    ASSERT_TRUE(d.run_round().has_value());
+    workload::JobSpec bad = s.trace.jobs[0];
+    bad.id = 1000;
+    breakers[i](bad);
+    EXPECT_FALSE(d.submit(bad));
+    EXPECT_EQ(d.queue().size(), 0u);
+    EXPECT_EQ(d.queue().rejected(), 0u);  // refused before the queue
+    for (int r = 0; r < 2; ++r) {
+      std::optional<sim::RoundOutcome> out;
+      ASSERT_NO_THROW(out = d.run_round());
+      ASSERT_TRUE(out.has_value());
+      EXPECT_FALSE(out->allocations.empty());
+      for (const auto& [id, a] : out->allocations) EXPECT_LT(id, 1000);
+    }
+  }
 }
 
 TEST(Daemon, IdleWithoutWorkAndConfigFromEnv) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/binary.hpp"
@@ -52,6 +53,57 @@ TEST(JobSpec, ValidateCatchesBadFields) {
   bad = j;
   bad.checkpoint_load = -0.1;
   EXPECT_THROW(bad.validate(3), std::invalid_argument);
+}
+
+// Non-finite values are rejected field by field: NaN passes every ordered
+// comparison (so "negative" checks miss it) and +/-inf poisons runtimes.
+JobSpec valid_spec() {
+  JobSpec j;
+  j.num_workers = 1;
+  j.epochs = 1;
+  j.chunks_per_epoch = 1;
+  j.throughput = {1.0, 1.0, 1.0};
+  return j;
+}
+
+template <typename Mutate>
+void expect_rejects_non_finite(Mutate mutate) {
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    JobSpec bad = valid_spec();
+    mutate(bad, v);
+    EXPECT_THROW(bad.validate(3), std::invalid_argument) << "value " << v;
+  }
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteArrival) {
+  expect_rejects_non_finite([](JobSpec& j, double v) { j.arrival = v; });
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteThroughputEntry) {
+  for (std::size_t r = 0; r < 3; ++r) {
+    expect_rejects_non_finite([r](JobSpec& j, double v) { j.throughput[r] = v; });
+  }
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteCheckpointSave) {
+  expect_rejects_non_finite([](JobSpec& j, double v) { j.checkpoint_save = v; });
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteCheckpointLoad) {
+  expect_rejects_non_finite([](JobSpec& j, double v) { j.checkpoint_load = v; });
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteModelSize) {
+  expect_rejects_non_finite([](JobSpec& j, double v) { j.model_size_mb = v; });
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteDeadline) {
+  expect_rejects_non_finite([](JobSpec& j, double v) { j.deadline = v; });
+  JobSpec ok = valid_spec();
+  ok.deadline = -1.0;  // finite and <= 0: no deadline
+  EXPECT_NO_THROW(ok.validate(3));
 }
 
 TEST(Trace, FinalizeSortsAndReindexes) {
